@@ -250,20 +250,6 @@ let eval_path t (type_name, key) fns =
   in
   go [ type_name, [ key ] ] fns
 
-(* Distinct instances (primary keys) of an entity type's file. *)
-let instances t entity =
-  let records = retrieve t (Abdm.Query.conj [ Abdm.Predicate.file_eq entity ]) in
-  let seen = Hashtbl.create 32 in
-  List.filter_map
-    (fun (dbkey, r) ->
-      let k = Mapping.Ab_schema.entity_key entity r ~dbkey in
-      if Hashtbl.mem seen k then None
-      else begin
-        Hashtbl.add seen k ();
-        Some k
-      end)
-    records
-
 (* Daplex set expressions: COUNT/SUM/AVG/MIN/MAX applied outermost over a
    path aggregate the inner values. A schema function of the same name
    always wins. *)
@@ -310,28 +296,87 @@ let matches t entity key (comps : Ast.comparison list) =
              values))
     (Ok true) comps
 
+(* The kernel predicates deciding one SUCH THAT comparison exactly, if
+   any: a non-null value compared with a single-valued scalar function
+   the entity declares itself. [matches] holds when some non-null value
+   of the instance satisfies the operator; every stored copy of an
+   instance carries the same such value (CREATE writes one copy, LET
+   updates every copy, an owner-held INCLUDE duplicates one), so a copy
+   satisfies the predicate exactly when the instance matches. A kernel
+   [<>] also holds for a null value, hence the extra [(fn <> NULL)]. *)
+let kernel_predicates t entity (c : Ast.comparison) =
+  match c.comp_path.Ast.fns with
+  | [ fn ] when not (Abdm.Value.is_null c.comp_value) ->
+    begin
+      match Daplex.Schema.find_function (schema t) entity fn with
+      | Some decl
+        when Daplex.Schema.classify (schema t) decl = Daplex.Schema.C_scalar ->
+        let pred = Abdm.Predicate.make fn c.comp_op c.comp_value in
+        if c.comp_op = Abdm.Predicate.Neq then
+          Some [ pred; Abdm.Predicate.make fn Abdm.Predicate.Neq Abdm.Value.Null ]
+        else Some [ pred ]
+      | Some _ | None -> None
+    end
+  | _ -> None
+
+(* Validate a selection: the entity exists and every path is over [var]. *)
+let check_selection t var entity paths =
+  if not (Daplex.Schema.is_entity_name (schema t) entity) then
+    err "unknown entity type %s" entity
+  else
+    List.fold_left
+      (fun acc p ->
+        let* () = acc in
+        check_var var p)
+      (Ok ()) paths
+
+let comparison_paths = List.map (fun (c : Ast.comparison) -> c.comp_path)
+
+(* Fold [f] over the distinct instances of [entity] satisfying
+   [such_that], in stored order. The leading comparisons the kernel
+   decides become predicates of one RETRIEVE on the entity's file; from
+   the first one it cannot decide, the rest are evaluated per candidate
+   just before [f] sees it. A per-instance comparison is thus reached on
+   exactly the instances an unfiltered scan would reach it on, in the
+   same interleaving with a FOR EACH body, errors included. The
+   candidates keep the order of the unfiltered scan: the kernel returns
+   a subset of it in ascending dbkey (backend by backend on an MBDS),
+   and an instance's copies either all match or none do, so its first
+   candidate copy is its first copy. *)
+let fold_selected t entity such_that ~init f =
+  let rec split pushed = function
+    | c :: rest as residual ->
+      begin
+        match kernel_predicates t entity c with
+        | Some preds -> split (pushed @ preds) rest
+        | None -> pushed, residual
+      end
+    | [] -> pushed, []
+  in
+  let pushed, residual = split [] such_that in
+  let records =
+    retrieve t (Abdm.Query.conj (Abdm.Predicate.file_eq entity :: pushed))
+  in
+  let seen = Hashtbl.create 32 in
+  List.fold_left
+    (fun acc (dbkey, r) ->
+      let* acc = acc in
+      let key = Mapping.Ab_schema.entity_key entity r ~dbkey in
+      if Hashtbl.mem seen key then Ok acc
+      else begin
+        Hashtbl.add seen key ();
+        let* keep = matches t entity key residual in
+        if keep then f acc key else Ok acc
+      end)
+    (Ok init) records
+
+let selected_keys t var entity such_that =
+  let* () = check_selection t var entity (comparison_paths such_that) in
+  fold_selected t entity such_that ~init:[] (fun acc key -> Ok (key :: acc))
+
 (* THE v IN entity SUCH THAT ... — must select exactly one entity *)
 let resolve_selector t (sel : Ast.selector) =
-  let* () =
-    if Daplex.Schema.is_entity_name (schema t) sel.sel_entity then Ok ()
-    else err "unknown entity type %s" sel.sel_entity
-  in
-  let* () =
-    List.fold_left
-      (fun acc (c : Ast.comparison) ->
-        let* () = acc in
-        check_var sel.sel_var c.comp_path)
-      (Ok ()) sel.sel_such_that
-  in
-  let* hits =
-    List.fold_left
-      (fun acc key ->
-        let* acc = acc in
-        let* keep = matches t sel.sel_entity key sel.sel_such_that in
-        Ok (if keep then key :: acc else acc))
-      (Ok [])
-      (instances t sel.sel_entity)
-  in
+  let* hits = selected_keys t sel.sel_var sel.sel_entity sel.sel_such_that in
   match hits with
   | [ key ] -> Ok key
   | [] -> err "THE %s IN %s: no such entity" sel.sel_var sel.sel_entity
@@ -527,77 +572,55 @@ let exec_include_exclude t ~add (entity, key) fn (target : Ast.selector) =
       (Ok ()) instance_keys
 
 let exec_for_each t var entity such_that body =
-  let* () =
-    if Daplex.Schema.is_entity_name (schema t) entity then Ok ()
-    else err "unknown entity type %s" entity
+  let printed =
+    List.concat_map
+      (function
+        | Ast.A_print paths -> paths
+        | Ast.A_let _ | Ast.A_include _ | Ast.A_exclude _ -> [])
+      body
   in
   let* () =
-    List.fold_left
-      (fun acc (c : Ast.comparison) ->
-        let* () = acc in
-        check_var var c.comp_path)
-      (Ok ()) such_that
+    check_selection t var entity (comparison_paths such_that @ printed)
   in
-  let* () =
-    List.fold_left
-      (fun acc action ->
-        let* () = acc in
-        match action with
-        | Ast.A_print paths ->
-          List.fold_left
-            (fun acc p ->
-              let* () = acc in
-              check_var var p)
-            (Ok ()) paths
-        | Ast.A_let _ | Ast.A_include _ | Ast.A_exclude _ -> Ok ())
-      (Ok ()) body
-  in
-  let keys = instances t entity in
   let* rows =
-    List.fold_left
-      (fun acc key ->
-        let* acc = acc in
-        let* keep = matches t entity key such_that in
-        if not keep then Ok acc
-        else
-          (* run the body actions in order; PRINT cells accumulate into
-             this instance's row *)
-          let* row =
-            List.fold_left
-              (fun acc action ->
-                let* cells = acc in
-                match action with
-                | Ast.A_print paths ->
-                  List.fold_left
-                    (fun acc (p : Ast.path) ->
-                      let* cells = acc in
-                      let* values = eval_expr t (entity, key) p.Ast.fns in
-                      let cell =
-                        match values with
-                        | [] -> Abdm.Value.Null
-                        | [ v ] -> v
-                        | many ->
-                          Abdm.Value.Str
-                            (String.concat ", "
-                               (List.map Abdm.Value.to_display many))
-                      in
-                      Ok ((Ast.path_to_string p, cell) :: cells))
-                    (Ok cells) paths
-                | Ast.A_let { fn; value } ->
-                  let* () = exec_let t (entity, key) fn value in
-                  Ok cells
-                | Ast.A_include { fn; target } ->
-                  let* () = exec_include_exclude t ~add:true (entity, key) fn target in
-                  Ok cells
-                | Ast.A_exclude { fn; target } ->
-                  let* () =
-                    exec_include_exclude t ~add:false (entity, key) fn target
+    fold_selected t entity such_that ~init:[] (fun acc key ->
+      (* run the body actions in order; PRINT cells accumulate into
+         this instance's row *)
+      let* row =
+        List.fold_left
+          (fun acc action ->
+            let* cells = acc in
+            match action with
+            | Ast.A_print paths ->
+              List.fold_left
+                (fun acc (p : Ast.path) ->
+                  let* cells = acc in
+                  let* values = eval_expr t (entity, key) p.Ast.fns in
+                  let cell =
+                    match values with
+                    | [] -> Abdm.Value.Null
+                    | [ v ] -> v
+                    | many ->
+                      Abdm.Value.Str
+                        (String.concat ", "
+                           (List.map Abdm.Value.to_display many))
                   in
-                  Ok cells)
-              (Ok []) body
-          in
-          Ok (if row = [] then acc else List.rev row :: acc))
-      (Ok []) keys
+                  Ok ((Ast.path_to_string p, cell) :: cells))
+                (Ok cells) paths
+            | Ast.A_let { fn; value } ->
+              let* () = exec_let t (entity, key) fn value in
+              Ok cells
+            | Ast.A_include { fn; target } ->
+              let* () = exec_include_exclude t ~add:true (entity, key) fn target in
+              Ok cells
+            | Ast.A_exclude { fn; target } ->
+              let* () =
+                exec_include_exclude t ~add:false (entity, key) fn target
+              in
+              Ok cells)
+          (Ok []) body
+      in
+      Ok (if row = [] then acc else List.rev row :: acc))
   in
   Ok (Printed (List.rev rows))
 
@@ -724,26 +747,7 @@ let rec destroy_instance t type_name key =
              [ Abdm.Predicate.file_eq type_name; int_pred type_name key ])))
 
 let exec_destroy t var entity such_that =
-  let* () =
-    if Daplex.Schema.is_entity_name (schema t) entity then Ok ()
-    else err "unknown entity type %s" entity
-  in
-  let* () =
-    List.fold_left
-      (fun acc (c : Ast.comparison) ->
-        let* () = acc in
-        check_var var c.comp_path)
-      (Ok ()) such_that
-  in
-  let keys = instances t entity in
-  let* victims =
-    List.fold_left
-      (fun acc key ->
-        let* acc = acc in
-        let* keep = matches t entity key such_that in
-        Ok (if keep then key :: acc else acc))
-      (Ok []) keys
-  in
+  let* victims = selected_keys t var entity such_that in
   let* () =
     List.fold_left
       (fun acc key ->

@@ -2,7 +2,10 @@
     the kernel mapping subsystem of the MLDS functional language interface.
     Function application follows the ISA hierarchy (value inheritance):
     [name(s)] on a student reads the [person] record reached through the
-    [person_student] set. *)
+    [person_student] set. The leading [SUCH THAT] comparisons on the
+    entity's own single-valued scalar functions become predicates of the
+    one [RETRIEVE] that selects the instances; the rest are evaluated per
+    instance on what that [RETRIEVE] returns. *)
 
 type t
 

@@ -544,3 +544,335 @@ let suite =
       "company: self m2m update", `Quick, test_company_self_m2m_update;
       "company: owner-held + sv on subtype", `Quick, test_company_owner_held_and_sv_on_subtype;
     ]
+
+(* --- SUCH THAT selection: kernel predicates and per-instance residue ------- *)
+
+(* A course-like database whose instances have several stored copies:
+   [topics] (a scalar set) multiplies copies at load time and every
+   INCLUDE into the owner-held [reads] duplicates one. [seminar] inherits
+   the course functions, so its comparisons on them stay per-instance;
+   [favourite] and [pin] let a test observe which entity THE selected. *)
+let shelf_ddl =
+  {|DATABASE shelf
+TYPE book IS ENTITY
+  bname : STRING(10);
+  favourite : course;
+  pin : seminar;
+END ENTITY
+TYPE course IS ENTITY
+  cid : INTEGER;
+  title : STRING(10);
+  credits : INTEGER;
+  topics : SET OF STRING(10);
+  reads : SET OF book;
+END ENTITY
+TYPE seminar IS course ENTITY
+  room : INTEGER;
+END ENTITY
+|}
+
+type shelf_course = {
+  title : string;
+  credits : int option;
+  topics : string list;
+  first_book : int option;
+  included : int list;  (** books INCLUDEd afterwards, one copy each *)
+  relet : int option;  (** LET credits after the INCLUDEs *)
+  room : int option option;  (** [Some r]: also a seminar, room [r] *)
+}
+
+let book_name i = Printf.sprintf "b%d" i
+
+let build_shelf ~multi courses =
+  let transform =
+    Transformer.Transform.transform (Daplex.Ddl_parser.schema shelf_ddl)
+  in
+  let kernel =
+    if multi then Mapping.Kernel.multi ~parallel:false 2
+    else Mapping.Kernel.single ()
+  in
+  let row row_type row_key row_isa row_values =
+    { Daplex.University.row_type; row_key; row_isa; row_values }
+  in
+  let scalar v = Daplex.University.Scalar v in
+  let books =
+    row "book" "bp" [] [ "bname", scalar (Abdm.Value.Str "bp") ]
+    :: List.init 3 (fun i ->
+           let b = book_name (i + 1) in
+           row "book" b [] [ "bname", scalar (Abdm.Value.Str b) ])
+  in
+  let course_rows =
+    List.concat
+      (List.mapi
+         (fun i c ->
+           let key = Printf.sprintf "c%d" i in
+           let values =
+             [
+               "cid", scalar (Abdm.Value.Int i);
+               "title", scalar (Abdm.Value.Str c.title);
+               ( "topics",
+                 Daplex.University.Scalars
+                   (List.map (fun s -> Abdm.Value.Str s) c.topics) );
+               ( "reads",
+                 Daplex.University.Refs
+                   (Option.to_list (Option.map book_name c.first_book)) );
+             ]
+             @ Option.to_list
+                 (Option.map
+                    (fun n -> "credits", scalar (Abdm.Value.Int n))
+                    c.credits)
+           in
+           let seminar =
+             match c.room with
+             | None -> []
+             | Some room ->
+               [
+                 row "seminar" ("s" ^ key) [ "course", key ]
+                   (Option.to_list
+                      (Option.map
+                         (fun r -> "room", scalar (Abdm.Value.Int r))
+                         room));
+               ]
+           in
+           row "course" key [] values :: seminar)
+         courses)
+  in
+  ignore (Mapping.Loader.load kernel transform (books @ course_rows));
+  let t = Daplex_dml.Engine.create kernel transform in
+  List.iteri
+    (fun i c ->
+      List.iter
+        (fun b ->
+          ignore
+            (rows t
+               (Printf.sprintf
+                  "FOR EACH c IN course SUCH THAT cid(c) = %d INCLUDE \
+                   reads(c) THE b IN book SUCH THAT bname(b) = '%s' END"
+                  i (book_name b))))
+        c.included;
+      Option.iter
+        (fun n ->
+          ignore
+            (rows t
+               (Printf.sprintf
+                  "FOR EACH c IN course SUCH THAT cid(c) = %d LET credits(c) \
+                   = %d END"
+                  i n)))
+        c.relet)
+    courses;
+  t
+
+let gen_shelf_course =
+  let open QCheck2.Gen in
+  let* title = oneofl [ "A"; "B"; "C" ] in
+  let* credits = opt (int_range 1 4) in
+  let* topics =
+    oneofl [ []; [ "t1" ]; [ "t2" ]; [ "t1"; "t3" ]; [ "t2"; "t3" ] ]
+  in
+  let* first_book = opt (int_range 1 3) in
+  let* included = list_size (int_range 0 2) (int_range 1 3) in
+  let* relet = opt (int_range 1 4) in
+  let+ room = opt (opt (int_range 1 3)) in
+  { title; credits; topics; first_book; included; relet; room }
+
+(* Comparison paths over the loop variable [v], with values present,
+   absent, out of range and of another class. On [course], cid, title
+   and credits are pushed to the kernel; on [seminar] only room is. *)
+let gen_shelf_comparison entity =
+  let open QCheck2.Gen in
+  let str l = oneofl (List.map (fun s -> Abdm.Value.Str s) l) in
+  let int l = oneofl (List.map (fun i -> Abdm.Value.Int i) l) in
+  let choices =
+    [
+      [ "title" ], oneof [ str [ "A"; "B"; "C"; "Q" ]; int [ 5 ] ];
+      ( [ "credits" ],
+        oneof
+          [
+            int [ -1; 0; 1; 2; 3; 4; 5; 99 ];
+            return (Abdm.Value.Float 2.);
+            str [ "x" ];
+          ] );
+      [ "cid" ], int [ 0; 1; 3; 6; 12 ];
+      [ "topics" ], str [ "t1"; "t2"; "t3"; "t9" ];
+      [ "reads"; "COUNT" ], int [ 0; 1; 2; 3 ];
+      [ "reads"; "bname" ], str [ "b1"; "b2"; "b3"; "b9" ];
+    ]
+    @ if entity = "seminar" then [ [ "room" ], int [ 0; 1; 2; 3; 7 ] ] else []
+  in
+  let* fns, value = oneofl choices in
+  let* comp_value = value in
+  let+ comp_op =
+    oneofl Abdm.Predicate.[ Eq; Neq; Lt; Le; Gt; Ge ]
+  in
+  { Daplex_dml.Ast.comp_path = { var = "v"; fns }; comp_op; comp_value }
+
+let gen_selection_case =
+  let open QCheck2.Gen in
+  let* multi = bool in
+  let* courses = list_size (int_range 0 8) gen_shelf_course in
+  let* entity = oneofl [ "course"; "course"; "seminar" ] in
+  let+ such_that = list_size (int_range 1 3) (gen_shelf_comparison entity) in
+  multi, courses, entity, such_that
+
+let payload =
+  List.map
+    (fun fn -> { Daplex_dml.Ast.var = "v"; fns = [ fn ] })
+    [ "cid"; "title"; "credits"; "topics" ]
+
+(* The values behind a PRINT cell: none for NULL; a joined multi-valued
+   cell splits back apart (no value of this database holds a comma). *)
+let cell_values = function
+  | Abdm.Value.Null -> []
+  | Abdm.Value.Str s ->
+    List.map (fun p -> Abdm.Value.Str (String.trim p)) (String.split_on_char ',' s)
+  | v -> [ v ]
+
+let print_all entity such_that paths =
+  Daplex_dml.Ast.For_each
+    { var = "v"; entity; such_that; body = [ Daplex_dml.Ast.A_print paths ] }
+
+let printed t stmt =
+  match Daplex_dml.Engine.execute t stmt with
+  | Ok (Daplex_dml.Engine.Printed rows) -> rows
+  | Ok o -> Alcotest.failf "expected rows, got %s" (Daplex_dml.Engine.outcome_to_string o)
+  | Error msg -> Alcotest.failf "%s: %s" (Daplex_dml.Ast.to_string stmt) msg
+
+(* The reference: every instance, unfiltered, with the comparison paths
+   printed ahead of the payload; a row is kept when each comparison has
+   a non-null value satisfying its operator (the rule of [matches]). *)
+let reference t entity such_that =
+  let paths =
+    List.map (fun (c : Daplex_dml.Ast.comparison) -> c.comp_path) such_that
+  in
+  printed t (print_all entity [] (paths @ payload))
+  |> List.partition_map (fun row ->
+         let tested = List.filteri (fun i _ -> i < List.length paths) row in
+         let rest = List.filteri (fun i _ -> i >= List.length paths) row in
+         let holds (c : Daplex_dml.Ast.comparison) (_, cell) =
+           List.exists
+             (fun v ->
+               (not (Abdm.Value.is_null v))
+               && Abdm.Predicate.eval c.comp_op v c.comp_value)
+             (cell_values cell)
+         in
+         if List.for_all2 holds such_that tested then Left rest else Right rest)
+
+let prop_selection_equivalence =
+  QCheck2.Test.make ~count:500
+    ~name:"SUCH THAT selection = unfiltered scan filtered by the matches rule"
+    ~print:(fun (multi, courses, entity, such_that) ->
+      Printf.sprintf "%s kernel, %d courses: %s"
+        (if multi then "2-backend" else "single")
+        (List.length courses)
+        (Daplex_dml.Ast.to_string (print_all entity such_that payload)))
+    gen_selection_case
+    (fun (multi, courses, entity, such_that) ->
+      let render rows =
+        Daplex_dml.Engine.outcome_to_string (Daplex_dml.Engine.Printed rows)
+      in
+      (* FOR EACH: same rows, same order, same bytes *)
+      let t = build_shelf ~multi courses in
+      let kept, dropped = reference t entity such_that in
+      let got = printed t (print_all entity such_that payload) in
+      if render got <> render kept then
+        QCheck2.Test.fail_reportf "FOR EACH:\n%s\nexpected:\n%s" (render got)
+          (render kept);
+      (* THE: the same entity, or the same error *)
+      let t = build_shelf ~multi courses in
+      let fn = if entity = "course" then "favourite" else "pin" in
+      let selector =
+        { Daplex_dml.Ast.sel_var = "v"; sel_entity = entity; sel_such_that = such_that }
+      in
+      let probe body =
+        Daplex_dml.Ast.For_each
+          {
+            var = "b";
+            entity = "book";
+            such_that =
+              [ { comp_path = { var = "b"; fns = [ "bname" ] };
+                  comp_op = Abdm.Predicate.Eq;
+                  comp_value = Abdm.Value.Str "bp" } ];
+            body = [ body ];
+          }
+      in
+      let got = Daplex_dml.Engine.execute t (probe (A_include { fn; target = selector })) in
+      let expected =
+        match kept with
+        | [ _ ] -> Ok (Daplex_dml.Engine.Printed [])
+        | [] -> Error (Printf.sprintf "THE v IN %s: no such entity" entity)
+        | many ->
+          Error
+            (Printf.sprintf "THE v IN %s: selects %d entities, expected one"
+               entity (List.length many))
+      in
+      if got <> expected then QCheck2.Test.fail_report "THE: different outcome";
+      (match kept with
+      | [ (_, cid) :: _ ] ->
+        let chosen =
+          printed t
+            (probe (A_print [ { var = "b"; fns = [ fn; "cid" ] } ]))
+        in
+        if chosen <> [ [ Printf.sprintf "cid(%s(b))" fn, cid ] ] then
+          QCheck2.Test.fail_report "THE: selected another entity"
+      | _ -> ());
+      (* DESTROY: the same count, and exactly the non-matching survive *)
+      let t = build_shelf ~multi courses in
+      (match
+         Daplex_dml.Engine.execute t
+           (Daplex_dml.Ast.Destroy { var = "v"; entity; such_that })
+       with
+      | Ok (Daplex_dml.Engine.Destroyed n) when n = List.length kept -> ()
+      | Ok o ->
+        QCheck2.Test.fail_reportf "DESTROY: %s, expected %d"
+          (Daplex_dml.Engine.outcome_to_string o) (List.length kept)
+      | Error msg -> QCheck2.Test.fail_reportf "DESTROY: %s" msg);
+      render (printed t (print_all entity [] payload)) = render dropped)
+
+(* A lookup by an own scalar function costs the same number of kernel
+   requests with 13 courses as with 512: the selection is one qualified
+   RETRIEVE, not one per instance. *)
+let test_selection_request_count () =
+  let requests t src =
+    Daplex_dml.Engine.clear_log t;
+    ignore (rows t src);
+    List.length (Daplex_dml.Engine.request_log t)
+  in
+  let counts extra =
+    let t, _ = fresh () in
+    for i = 1 to extra do
+      ignore
+        (exec t
+           (Printf.sprintf
+              "CREATE course (title = 'x%03d', semester = 'Fall', credits = 3)" i))
+    done;
+    ignore (exec t "CREATE course (title = 'Loose', semester = 'X', credits = 1)");
+    let lookup =
+      requests t
+        "FOR EACH c IN course SUCH THAT title(c) = 'Compilers' PRINT title(c), \
+         credits(c) END"
+    in
+    let include_ =
+      requests t
+        "FOR EACH d IN department SUCH THAT dname(d) = 'Physics' INCLUDE \
+         offers(d) THE c IN course SUCH THAT title(c) = 'Calculus' END"
+    in
+    Daplex_dml.Engine.clear_log t;
+    (match exec t "DESTROY c IN course SUCH THAT title(c) = 'Loose'" with
+    | Ok (Daplex_dml.Engine.Destroyed 1) -> ()
+    | Ok o -> Alcotest.failf "unexpected %s" (Daplex_dml.Engine.outcome_to_string o)
+    | Error msg -> Alcotest.fail msg);
+    lookup, include_, List.length (Daplex_dml.Engine.request_log t)
+  in
+  let l13, i13, d13 = counts 0 in
+  let l512, i512, d512 = counts 499 in
+  Alcotest.(check int) "FOR EACH lookup: 13 vs 512 courses" l13 l512;
+  Alcotest.(check int) "INCLUDE THE selector: 13 vs 512 courses" i13 i512;
+  Alcotest.(check int) "DESTROY: 13 vs 512 courses" d13 d512
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_selection_equivalence;
+      "SUCH THAT request count independent of N", `Quick,
+      test_selection_request_count;
+    ]
