@@ -56,12 +56,22 @@ let target_to_string = function
 
 let query_to_string = Abdm.Query.to_string
 
+(* The one INSERT printer: a request, a WAL frame and a snapshot line all
+   render a record through it, straight into the caller's buffer. *)
+let add_insert buf (record : Abdm.Record.t) =
+  Buffer.add_string buf "INSERT (";
+  List.iteri
+    (fun i kw ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Abdm.Keyword.add_to_buffer buf kw)
+    record.keywords;
+  Buffer.add_char buf ')'
+
 let to_string = function
   | Insert record ->
-    let body =
-      String.concat ", " (List.map Abdm.Keyword.to_string record.Abdm.Record.keywords)
-    in
-    Printf.sprintf "INSERT (%s)" body
+    let buf = Buffer.create 128 in
+    add_insert buf record;
+    Buffer.contents buf
   | Delete query -> Printf.sprintf "DELETE (%s)" (query_to_string query)
   | Update (query, modifiers) ->
     Printf.sprintf "UPDATE (%s) (%s)" (query_to_string query)

@@ -51,6 +51,11 @@ val aggregate_to_string : aggregate -> string
 
 val target_to_string : target_item -> string
 
+(** [add_insert buf record] appends [to_string (Insert record)] to [buf]:
+    the one printer behind INSERT requests, WAL record frames and
+    snapshot data lines. *)
+val add_insert : Buffer.t -> Abdm.Record.t -> unit
+
 (** Renders a request in the paper's surface syntax, e.g.
     [RETRIEVE ((FILE = course) AND (title = 'DB')) (title, credits) BY course]. *)
 val to_string : request -> string

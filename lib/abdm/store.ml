@@ -771,6 +771,8 @@ let clear store =
 let iter store f =
   Int_map.iter f (read_state store).st_records
 
+let bindings store = Int_map.bindings (read_state store).st_records
+
 let attach store key record =
   state_update store (fun st -> attach_state store st key record)
 

@@ -121,6 +121,11 @@ val clear : t -> unit
     order. *)
 val iter : t -> (dbkey -> Record.t -> unit) -> unit
 
+(** [bindings store] lists every live record in ascending-dbkey order:
+    one pass over the key map, no query evaluation and no sort (the
+    checkpoint capture). *)
+val bindings : t -> (dbkey * Record.t) list
+
 (** Number of records examined by [select]/[delete]/[update] since
     creation or the last [reset_scan_count]; used by the MBDS cost model
     to charge disk work. *)

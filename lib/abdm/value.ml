@@ -25,16 +25,33 @@ let is_null = function
   | Null -> true
   | Int _ | Float _ | Str _ -> false
 
-let escape_quotes s =
-  if not (String.contains s '\'') then s
-  else
-    String.concat "''" (String.split_on_char '\'' s)
+(* a string literal doubles each embedded quote *)
+let add_quoted buf s =
+  let n = String.length s in
+  let rec from start =
+    match String.index_from_opt s start '\'' with
+    | None -> Buffer.add_substring buf s start (n - start)
+    | Some i ->
+      Buffer.add_substring buf s start (i + 1 - start);
+      Buffer.add_char buf '\'';
+      from (i + 1)
+  in
+  Buffer.add_char buf '\'';
+  from 0;
+  Buffer.add_char buf '\''
+
+let add_to_buffer buf = function
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (Printf.sprintf "%g" f)
+  | Str s -> add_quoted buf s
+  | Null -> Buffer.add_string buf "NULL"
 
 let to_string = function
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
-  | Str s -> Printf.sprintf "'%s'" (escape_quotes s)
-  | Null -> "NULL"
+  | v ->
+    let buf = Buffer.create 16 in
+    add_to_buffer buf v;
+    Buffer.contents buf
 
 let to_display = function
   | Int i -> string_of_int i

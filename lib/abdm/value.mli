@@ -26,6 +26,10 @@ val is_null : t -> bool
     floats literally, strings in single quotes, null as [NULL]. *)
 val to_string : t -> string
 
+(** [add_to_buffer buf v] appends [to_string v] to [buf] without building
+    the intermediate string (the WAL and snapshot record printer). *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 (** [to_display v] renders the value without string quoting, for result
     formatting (KFS output). *)
 val to_display : t -> string

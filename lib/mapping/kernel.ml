@@ -66,6 +66,11 @@ let select t =
   | Single store -> Abdm.Store.select store
   | Multi ctrl -> Mbds.Controller.select ctrl
 
+let bindings t =
+  match t.kds with
+  | Single store -> Abdm.Store.bindings store
+  | Multi ctrl -> Mbds.Controller.bindings ctrl
+
 let explain t query =
   match t.kds with
   | Single store -> Abdm.Plan.to_string (Abdm.Store.explain store query)

@@ -65,6 +65,10 @@ val insert_keyed : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
 
 val select : t -> Abdm.Query.t -> (Abdm.Store.dbkey * Abdm.Record.t) list
 
+(** [bindings t] lists every live record in ascending-dbkey order, in one
+    ordered pass (a snapshot's data section). *)
+val bindings : t -> (Abdm.Store.dbkey * Abdm.Record.t) list
+
 (** [explain t query] renders the access plan the store(s) would use for
     [query] — {!Abdm.Store.explain} for a single KDS, per-backend sections
     via {!Mbds.Controller.explain} for a partitioned one. Read-only. *)

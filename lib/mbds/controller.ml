@@ -192,6 +192,21 @@ let select t query =
   List.concat per_backend
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+(* Every live record in ascending-dbkey order: the backends' ordered
+   lists merged pairwise (a key lives on exactly one backend). Reads
+   state snapshots only, so no owner hop (same argument as [get]). *)
+let bindings t =
+  let merge xs ys =
+    let rec go acc xs ys =
+      match xs, ys with
+      | [], rest | rest, [] -> List.rev_append acc rest
+      | ((kx, _) as x) :: xs', ((ky, _) as y) :: ys' ->
+        if kx < ky then go (x :: acc) xs' ys else go (y :: acc) xs ys'
+    in
+    go [] xs ys
+  in
+  Array.fold_left (fun acc b -> merge acc (Abdm.Store.bindings b)) [] t.backends
+
 (* Reads directory snapshots only; no owner hop needed (same argument as
    [get] below). Each backend partition holds different rows, so its
    cardinalities — and possibly its chosen access path — differ. *)

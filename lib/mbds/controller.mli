@@ -68,6 +68,11 @@ val insert : t -> Abdm.Record.t -> Abdm.Store.dbkey
 
 val select : t -> Abdm.Query.t -> (Abdm.Store.dbkey * Abdm.Record.t) list
 
+(** [bindings t] lists every live record of every backend in
+    ascending-dbkey order: the per-backend {!Abdm.Store.bindings} merged,
+    with no query and no sort. *)
+val bindings : t -> (Abdm.Store.dbkey * Abdm.Record.t) list
+
 (** [explain t query] renders each backend's {!Abdm.Store.explain} plan,
     one "backend N (name):" section per partition. Read-only. *)
 val explain : t -> Abdm.Query.t -> string

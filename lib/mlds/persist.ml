@@ -65,28 +65,48 @@ let snapshot_header ?stamp t ~db =
   Buffer.add_string buf "\n%DATA\n";
   Ok (Buffer.contents buf, kernel)
 
-(* sorted by database key: the dump is a deterministic function of the
-   state, and keyed restore reproduces the keys — so dump ∘ restore ∘
-   dump is byte-identical *)
-let sorted_records kernel =
-  List.sort
-    (fun (k1, _) (k2, _) -> compare (k1 : int) k2)
-    (Mapping.Kernel.select kernel Abdm.Query.always)
+(* A snapshot body under construction: everything after the two seal
+   lines. The seal's %CRC covers exactly these bytes, so the checksum is
+   extended as each piece is appended and sealing never re-reads the
+   body. *)
+type body = { buf : Buffer.t; mutable crc : int }
 
-let record_line buf (key, record) =
-  Buffer.add_string buf
-    (Printf.sprintf "@%d %s" key (Abdl.Ast.to_string (Abdl.Ast.Insert record)));
-  Buffer.add_char buf '\n'
-
-let seal_body body =
-  Printf.sprintf "%%MLDS 2\n%%CRC %08x\n%s" (Wal.crc32 body) body
-
-let dump ?stamp t ~db =
-  let* header, kernel = snapshot_header ?stamp t ~db in
+let body_of_header header =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf header;
-  List.iter (record_line buf) (sorted_records kernel);
-  Ok (seal_body (Buffer.contents buf))
+  { buf; crc = Wal.crc32 header }
+
+(* "@<key> INSERT (...)" — records go in ascending database-key order
+   ([Mapping.Kernel.bindings]): the dump is a deterministic function of
+   the state, and keyed restore reproduces the keys — so dump ∘ restore
+   ∘ dump is byte-identical *)
+let record_line body (key, record) =
+  let buf = body.buf in
+  let start = Buffer.length buf in
+  Buffer.add_char buf '@';
+  Buffer.add_string buf (string_of_int key);
+  Buffer.add_char buf ' ';
+  Abdl.Ast.add_insert buf record;
+  Buffer.add_char buf '\n';
+  let line = Buffer.sub buf start (Buffer.length buf - start) in
+  body.crc <- Wal.crc32_update body.crc line 0 (String.length line)
+
+let seal body = Printf.sprintf "%%MLDS 2\n%%CRC %08x\n" body.crc
+
+let snapshot_body ?stamp t ~db =
+  let* header, kernel = snapshot_header ?stamp t ~db in
+  let body = body_of_header header in
+  List.iter (record_line body) (Mapping.Kernel.bindings kernel);
+  Ok body
+
+let dump ?stamp t ~db =
+  let* body = snapshot_body ?stamp t ~db in
+  let seal = seal body in
+  let sl = String.length seal and bl = Buffer.length body.buf in
+  let text = Bytes.create (sl + bl) in
+  Bytes.blit_string seal 0 text 0 sl;
+  Buffer.blit body.buf 0 text sl bl;
+  Ok (Bytes.unsafe_to_string text)
 
 (* --- parse --------------------------------------------------------------- *)
 
@@ -358,8 +378,9 @@ let inject_save_failure () = save_failure := true
 
 (* temp file in the destination directory + fsync + rename: the target
    either keeps its old contents or atomically gains the complete new
-   snapshot — never a truncated or half-written one *)
-let write_atomic ~file text =
+   snapshot — never a truncated or half-written one. The seal and the body
+   go straight from their buffers to the channel. *)
+let write_atomic ~file body =
   match
     Filename.temp_file ~temp_dir:(Filename.dirname file)
       (Filename.basename file ^ ".") ".tmp"
@@ -371,13 +392,15 @@ let write_atomic ~file text =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
+          output_string oc (seal body);
           if !save_failure then begin
             save_failure := false;
             (* the injected fault: die after writing half the snapshot *)
-            output_string oc (String.sub text 0 (String.length text / 2));
+            output_string oc
+              (Buffer.sub body.buf 0 (Buffer.length body.buf / 2));
             raise (Sys_error "injected save failure")
           end;
-          output_string oc text;
+          Buffer.output_buffer oc body.buf;
           flush oc;
           Unix.fsync (Unix.descr_of_out_channel oc));
       Sys.rename tmp file
@@ -388,8 +411,8 @@ let write_atomic ~file text =
       Error msg
 
 let save t ~db ~file =
-  let* text = dump t ~db in
-  write_atomic ~file text
+  let* body = snapshot_body t ~db in
+  write_atomic ~file body
 
 (* --- WAL replay and recovery --------------------------------------------- *)
 
@@ -553,7 +576,7 @@ type ckpt = {
   ck_file : string;
   ck_wal : Wal.t option;
   ck_stamp : (int * int) option;
-  ck_buf : Buffer.t;  (* body so far: header + serialized records *)
+  ck_body : body;  (* header + the records serialized so far *)
   mutable ck_pending : (Abdm.Store.dbkey * Abdm.Record.t) list;
   mutable ck_left : int;
 }
@@ -562,15 +585,13 @@ let checkpoint_begin t ~db ~file =
   let wal = System.wal_of t ~db in
   let stamp = Option.map (fun w -> (Wal.generation w, Wal.position w)) wal in
   let* header, kernel = snapshot_header ?stamp t ~db in
-  let records = sorted_records kernel in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf header;
+  let records = Mapping.Kernel.bindings kernel in
   Ok
     {
       ck_file = file;
       ck_wal = wal;
       ck_stamp = stamp;
-      ck_buf = buf;
+      ck_body = body_of_header header;
       ck_pending = records;
       ck_left = List.length records;
     }
@@ -582,7 +603,7 @@ let checkpoint_slice ck ~max_records =
     match ck.ck_pending with
     | [] -> continue_ := false
     | kv :: rest ->
-      record_line ck.ck_buf kv;
+      record_line ck.ck_body kv;
       ck.ck_pending <- rest;
       ck.ck_left <- ck.ck_left - 1;
       decr n
@@ -594,7 +615,7 @@ let checkpoint_finish ck =
   ignore (checkpoint_slice ck ~max_records:max_int);
   (* order matters: the snapshot must be durable (fsync + rename inside
      [write_atomic]) before the log stops carrying the state *)
-  let* () = write_atomic ~file:ck.ck_file (seal_body (Buffer.contents ck.ck_buf)) in
+  let* () = write_atomic ~file:ck.ck_file ck.ck_body in
   if !checkpoint_crash then begin
     (* the injected fault: the process dies in the exact window between
        the durable snapshot and the WAL truncate *)

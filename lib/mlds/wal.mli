@@ -24,11 +24,16 @@
 
     {2 Durability contract}
 
-    [append] writes the frame to the OS; [sync] makes everything appended
-    so far durable (fsync) when the fsync knob is on. `Mlds.System`
-    appends every mutation and syncs at transaction commit — so a
-    transaction confirmed to the caller is on disk, and anything after
-    the last sync may legitimately vanish in a crash.
+    Outside a commit group, [append] writes the frame to the OS at once.
+    Inside one ({!begin_group}), frames collect in a fixed 4 KiB buffer
+    and reach the OS in one write when it is full, at {!end_group}
+    (before the covering fsync), and before {!truncate}, {!truncate_to}
+    and {!close}. [sync] makes everything appended so far durable (fsync)
+    when the fsync knob is on. `Mlds.System` appends every mutation and
+    syncs at transaction commit — so a transaction confirmed to the
+    caller is on disk, and anything after the last sync may legitimately
+    vanish in a crash. A write that fails kills the handle ({!Crash}): a
+    later frame must never land beyond a partly written one.
 
     {2 Fault injection}
 
@@ -76,8 +81,9 @@ val appended : t -> int
     {!truncate} / {!truncate_to}. *)
 val generation : t -> int
 
-(** Byte length of the log right now — the position a snapshot captured
-    at this instant covers. Pair with {!generation} to stamp snapshots;
+(** Byte length of the log right now, counting frames still in the
+    group buffer — the position a snapshot captured at this instant
+    covers. Pair with {!generation} to stamp snapshots;
     feed the pair back as [?skip] to {!recover}. *)
 val position : t -> int
 
@@ -94,15 +100,18 @@ val synced_position : t -> int
     forcing a full snapshot bootstrap. *)
 val last_truncation : t -> (int * int * int) option
 
-(** [append t entry] writes one frame. Observed in the [wal.append_s]
-    histogram. *)
+(** [append t entry] encodes one frame (payload, CRC) and writes it to
+    the OS, or, inside a commit group, copies it into the group buffer;
+    see {2:group Group commit}. [wal.append_s] observes the whole call:
+    encoding, CRC, the copy, and any write the call itself makes. *)
 val append : t -> entry -> unit
 
 (** [sync t] makes every appended frame durable (fsync) when the knob is
     on. Observed in the [wal.fsync_s] histogram. The fsync is skipped
     when nothing was appended since the last one (the syscall would be
     pure overhead), and {e deferred} inside a {!begin_group} bracket —
-    see {2:group Group commit}. *)
+    see {2:group Group commit}. The histogram also times the write of
+    still-buffered frames that precedes the fsync. *)
 val sync : t -> unit
 
 (** {2:group Group commit}
@@ -112,7 +121,9 @@ val sync : t -> unit
     [end_group t], which performs {e one} covering fsync for every
     absorbed commit — the batched executor brackets each request batch
     this way, so a batch of K committed transactions costs one fsync
-    instead of K. The durability contract is preserved by the caller:
+    instead of K. Inside the bracket appended frames wait in the group
+    buffer; [end_group] writes them (even when no commit was absorbed),
+    then fsyncs. The durability contract is preserved by the caller:
     acknowledgements for the absorbed commits must be withheld until
     [end_group] returns. [end_group] observes the number of commits the
     covering fsync amortised in the [wal.group_commit_size] histogram,
@@ -148,7 +159,9 @@ val truncate : t -> unit
     a commit group. *)
 val truncate_to : t -> keep_from:int -> unit
 
-(** [close t] syncs and closes. Idempotent. *)
+(** [close t] writes any buffered frames, syncs and closes. Idempotent.
+    A failure of the write, the fsync or the close cannot be raised to
+    anyone; it is counted in [wal.close_failed]. *)
 val close : t -> unit
 
 (** {2 Fault injection} *)
@@ -161,7 +174,9 @@ type failure =
   | Short_write of int  (** only [n] bytes of the frame reach disk *)
 
 (** [arm_failpoint t ~after_appends:k failure] — the [k]-th subsequent
-    [append] (1-based) simulates [failure] and raises {!Crash}. One-shot;
+    [append] (1-based) simulates [failure] and raises {!Crash}. Frames
+    still in the group buffer are written first, so the file is left
+    exactly as an unbuffered log would leave it. One-shot;
     re-arming replaces the previous failpoint. *)
 val arm_failpoint : t -> after_appends:int -> failure -> unit
 
@@ -227,3 +242,10 @@ val decode_entry : string -> (entry, string) result
 
 (** IEEE CRC-32 (the one zlib uses), returned in [0, 0xFFFFFFFF]. *)
 val crc32 : string -> int
+
+(** [crc32_update crc s off len] extends [crc], the CRC-32 of some
+    prefix, over [len] bytes of [s] from [off]:
+    [crc32_update (crc32 a) b 0 (String.length b) = crc32 (a ^ b)], and
+    [crc32_update 0] starts afresh. Raises [Invalid_argument] when the
+    range is not inside [s]. *)
+val crc32_update : int -> string -> int -> int -> int

@@ -215,7 +215,22 @@ let c_disconnects = Obs.Metrics.counter "server.disconnects_total"
 
 let c_escalations = Obs.Metrics.counter "server.global_lane.escalations"
 
-let h_opcode name = Obs.Metrics.histogram ("server.request." ^ name ^ "_s")
+(* One latency histogram per opcode, resolved at the opcode's first
+   request (so Stats lists only opcodes that occurred) and read from this
+   table ever after: no name concatenation and no registry lock per
+   request. Racing first requests resolve the same histogram. *)
+let opcode_histograms = Array.init 0x10 (fun _ -> Atomic.make None)
+
+let h_opcode msg =
+  let slot = opcode_histograms.(Wire.request_opcode msg) in
+  match Atomic.get slot with
+  | Some h -> h
+  | None ->
+    let h =
+      Obs.Metrics.histogram ("server.request." ^ Wire.opcode_name msg ^ "_s")
+    in
+    Atomic.set slot (Some h);
+    h
 
 let h_batch =
   Obs.Metrics.histogram ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64. |]
@@ -643,7 +658,7 @@ let compute_response t sh conn (frame : Wire.request Wire.frame) =
               assert false)))
   in
   let dt = Obs.Clock.since t0 in
-  Obs.Metrics.observe (h_opcode opcode) dt;
+  Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
   let language =
     match !used_handle with
     | Some h -> Mlds.System.language_to_string (Mlds.System.handle_language h)
@@ -718,7 +733,7 @@ let read_task t ~batch conn (frame : Wire.request Wire.frame) handle src snap
         with exn -> Wire.Err (Wire.Exec_error, Printexc.to_string exn))
   in
   let dt = Obs.Clock.since t0 in
-  Obs.Metrics.observe (h_opcode opcode) dt;
+  Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
   let language =
     Mlds.System.language_to_string (Mlds.System.handle_language handle)
   in
@@ -816,7 +831,7 @@ let answer_control t conn (frame : Wire.request Wire.frame) =
         | _ -> Wire.Err (Wire.Bad_request, "not a telemetry opcode"))
   in
   let dt = Obs.Clock.since t0 in
-  Obs.Metrics.observe (h_opcode opcode) dt;
+  Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
   record_event t frame ~session:frame.Wire.session_id ~language:"-"
     ~latency_s:dt ~msg ~batch:(Atomic.get t.batch_seq);
   reply conn frame msg

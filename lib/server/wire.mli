@@ -110,6 +110,9 @@ val max_frame_bytes : int
     the per-opcode metrics / span attribute key. *)
 val opcode_name : request -> string
 
+(** The opcode byte a request travels under, in [0x01 .. 0x0E]. *)
+val request_opcode : request -> int
+
 val err_kind_name : err_kind -> string
 
 (** {2 Codec} — pure, total on the encode side; decode rejects unknown

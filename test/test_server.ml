@@ -817,6 +817,8 @@ let test_stats_tail_roundtrip () =
       in
       Alcotest.(check bool) "metrics snapshot rides along" true
         (List.mem "server.requests_total" (metric_names stats));
+      Alcotest.(check bool) "WAL close failures are on show" true
+        (List.mem "wal.close_failed" (metric_names stats));
       (* now generate traffic and drain it through Tail *)
       let c2 = logged_in port in
       for _ = 1 to 5 do
@@ -836,6 +838,12 @@ let test_stats_tail_roundtrip () =
       in
       let s1 = seqs t1 in
       Alcotest.(check bool) "events captured" true (List.length s1 >= 5);
+      Alcotest.(check bool) "per-opcode histogram of an occurred opcode" true
+        (match Client.stats c with
+        | Ok out ->
+          List.mem "server.request.submit_s"
+            (metric_names (parse_json "Stats" out))
+        | Error _ -> false);
       Alcotest.(check bool) "session list shows the login" true
         (match Client.stats c with
         | Ok out ->

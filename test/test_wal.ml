@@ -32,7 +32,10 @@ let contains hay needle =
 let test_crc32_vector () =
   (* the classic check value for CRC-32/ISO-HDLC *)
   Alcotest.(check int) "crc32(123456789)" 0xCBF43926 (Mlds.Wal.crc32 "123456789");
-  Alcotest.(check int) "crc32 empty" 0 (Mlds.Wal.crc32 "")
+  Alcotest.(check int) "crc32 empty" 0 (Mlds.Wal.crc32 "");
+  Alcotest.check_raises "crc32_update: range outside the string"
+    (Invalid_argument "Wal.crc32_update") (fun () ->
+      ignore (Mlds.Wal.crc32_update 0 "abc" 2 2))
 
 let test_entry_roundtrip () =
   let entries =
@@ -681,6 +684,391 @@ let prop_crash_recovery =
           report.Mlds.Persist.frames report.Mlds.Persist.torn
       else true)
 
+(* --- format equivalence ------------------------------------------------------ *)
+
+(* The Printf record printer the WAL and snapshots used before the
+   Buffer-based one, frozen here as the oracle: a frame or a snapshot line
+   that differs by one byte would no longer match the logs and snapshots
+   already on disk. *)
+module Oracle = struct
+  let escape_quotes s =
+    if not (String.contains s '\'') then s
+    else String.concat "''" (String.split_on_char '\'' s)
+
+  let value = function
+    | Abdm.Value.Int i -> string_of_int i
+    | Abdm.Value.Float f -> Printf.sprintf "%g" f
+    | Abdm.Value.Str s -> Printf.sprintf "'%s'" (escape_quotes s)
+    | Abdm.Value.Null -> "NULL"
+
+  let keyword (kw : Abdm.Keyword.t) =
+    Printf.sprintf "<%s, %s>" kw.attribute (value kw.value)
+
+  let insert (r : Abdm.Record.t) =
+    Printf.sprintf "INSERT (%s)" (String.concat ", " (List.map keyword r.keywords))
+
+  let keyed key r = Printf.sprintf "KEYED %d %s" key (insert r)
+
+  let replace key r = Printf.sprintf "REPLACE %d %s" key (insert r)
+
+  let record_line (key, r) = Printf.sprintf "@%d %s\n" key (insert r)
+
+  (* bit at a time, straight from the polynomial *)
+  let crc32 s =
+    let c = ref 0xFFFFFFFF in
+    String.iter
+      (fun ch ->
+        c := !c lxor Char.code ch;
+        for _ = 1 to 8 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done)
+      s;
+    !c lxor 0xFFFFFFFF
+
+  let frame payload =
+    let b = Bytes.create (8 + String.length payload) in
+    Bytes.set_int32_be b 0 (Int32.of_int (String.length payload));
+    Bytes.set_int32_be b 4 (Int32.of_int (crc32 payload));
+    Bytes.blit_string payload 0 b 8 (String.length payload);
+    Bytes.to_string b
+end
+
+let gen_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        3, map (fun i -> Abdm.Value.Int i) int;
+        3, map (fun i -> Abdm.Value.Int i) (int_range (-1000) 1000);
+        2, map (fun f -> Abdm.Value.Float f) float;
+        2, map (fun f -> Abdm.Value.Float (float_of_int f /. 8.)) (int_range (-100) 100);
+        4,
+        map
+          (fun s -> Abdm.Value.Str s)
+          (string_size
+             ~gen:(oneofl [ 'a'; 'Z'; '\''; ' '; ','; '<'; '>'; '('; ')'; '"'; '\\' ])
+             (int_range 0 12));
+        1, pure (Abdm.Value.Str "");
+        1, pure (Abdm.Value.Str "'");
+        1, pure Abdm.Value.Null;
+      ])
+
+(* a FILE keyword, then up to 40 distinct attributes *)
+let gen_record =
+  QCheck2.Gen.(
+    map2
+      (fun file values ->
+        Abdm.Record.make
+          (Abdm.Keyword.file file
+          :: List.mapi (fun i v -> Abdm.Keyword.make (Printf.sprintf "a%d" i) v) values))
+      (string_size ~gen:(char_range 'a' 'z') (int_range 1 8))
+      (list_size (int_range 0 40) gen_value))
+
+let prop_printer_matches_oracle =
+  QCheck2.Test.make ~name:"INSERT printer, WAL frames: byte-identical to Printf"
+    ~count:300 ~print:(fun (k, r) -> Oracle.keyed k r)
+    QCheck2.Gen.(pair int gen_record)
+    (fun (key, r) ->
+      let check what got want =
+        if got <> want then
+          QCheck2.Test.fail_reportf "%s:\n got %S\nwant %S" what got want
+      in
+      check "Ast.to_string" (Abdl.Ast.to_string (Abdl.Ast.Insert r)) (Oracle.insert r);
+      check "KEYED" (Mlds.Wal.encode_entry (Mlds.Wal.Keyed_insert (key, r)))
+        (Oracle.keyed key r);
+      check "REPLACE" (Mlds.Wal.encode_entry (Mlds.Wal.Replace (key, r)))
+        (Oracle.replace key r);
+      check "frame"
+        (Bytes.to_string (Mlds.Wal.encode_frame (Mlds.Wal.Keyed_insert (key, r))))
+        (Oracle.frame (Oracle.keyed key r));
+      true)
+
+(* the data section and the %CRC of a dump: records in key order, each
+   line as the oracle prints it, the CRC over every byte after the seal *)
+let prop_snapshot_matches_oracle =
+  QCheck2.Test.make ~name:"snapshot lines and %CRC: byte-identical to Printf"
+    ~count:40
+    QCheck2.Gen.(pair (int_range 0 3) (list_size (int_range 0 30) gen_record))
+    (fun (backends, records) ->
+      let sys = Mlds.System.create ~backends () in
+      (match Mlds.System.define_relational sys ~name:"snap" with
+      | Ok () -> ()
+      | Error msg -> failwith msg);
+      let kernel = Option.get (Mlds.System.kernel_of sys "snap") in
+      (* distinct keys out of insertion order (1009 is prime), so the
+         capture must order them *)
+      let keyed = List.mapi (fun i r -> 1 + (i * 7919 mod 1009), r) records in
+      List.iter (fun (k, r) -> Mapping.Kernel.insert_keyed kernel k r) keyed;
+      let text =
+        match Mlds.Persist.dump sys ~db:"snap" with
+        | Ok text -> text
+        | Error msg -> failwith msg
+      in
+      let seal_end =
+        String.index_from text (String.index text '\n' + 1) '\n' + 1
+      in
+      let body = String.sub text seal_end (String.length text - seal_end) in
+      let rec after_data = function
+        | "%DATA" :: rest -> String.concat "\n" rest
+        | _ :: rest -> after_data rest
+        | [] -> ""
+      in
+      let data = after_data (String.split_on_char '\n' body) in
+      let want =
+        List.sort (fun (a, _) (b, _) -> compare a b) keyed
+        |> List.map Oracle.record_line |> String.concat ""
+      in
+      let seal = Printf.sprintf "%%MLDS 2\n%%CRC %08x\n" (Oracle.crc32 body) in
+      if data <> want then
+        QCheck2.Test.fail_reportf "data section:\n got %S\nwant %S" data want
+      else if String.sub text 0 seal_end <> seal then
+        QCheck2.Test.fail_reportf "seal %S, want %S" (String.sub text 0 seal_end) seal
+      else true)
+
+let prop_crc32_reference =
+  QCheck2.Test.make ~name:"crc32 = bitwise CRC-32; crc32_update chunks compose"
+    ~count:500
+    QCheck2.Gen.(triple (string_size (int_range 0 67)) nat nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let i = min (a mod (n + 1)) (b mod (n + 1))
+      and j = max (a mod (n + 1)) (b mod (n + 1)) in
+      let whole = Mlds.Wal.crc32 s in
+      let chained =
+        Mlds.Wal.crc32_update
+          (Mlds.Wal.crc32_update (Mlds.Wal.crc32 (String.sub s 0 i)) s i (j - i))
+          s j (n - j)
+      in
+      if whole <> Oracle.crc32 s then
+        QCheck2.Test.fail_reportf "length %d (mod 4 = %d): %08x, bitwise %08x" n
+          (n mod 4) whole (Oracle.crc32 s)
+      else if chained <> whole then
+        QCheck2.Test.fail_reportf "chunks [0,%d) [%d,%d) [%d,%d): %08x <> %08x" i
+          i j j n chained whole
+      else true)
+
+(* --- an old log still replays --------------------------------------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc text)
+
+(* fixtures/fixture.mlds(.wal) were written by the Printf encoder (see
+   fixtures/gen_fixture.ml): recovered with today's code they must give
+   the store that encoder recovered, dumped byte for byte the same *)
+let test_fixture_replays () =
+  let snap = Filename.temp_file "mldsfixture" ".mlds" in
+  (* recovery trims the torn tail in place: work on a copy *)
+  write_file snap (read_file "fixtures/fixture.mlds");
+  write_file (snap ^ ".wal") (read_file "fixtures/fixture.mlds.wal");
+  let sys = Mlds.System.create () in
+  let outcome =
+    match Mlds.Persist.load_report sys ~file:snap with
+    | Ok o -> o
+    | Error msg -> Alcotest.failf "load: %s" msg
+  in
+  let r = Option.get outcome.Mlds.Persist.recovery in
+  Alcotest.(check (list int)) "frames, applied, dropped, skipped" [ 5; 3; 1; 10 ]
+    [ r.frames; r.applied; r.dropped; r.skipped ];
+  Alcotest.(check bool) "torn tail found" true r.torn;
+  (match Mlds.Persist.dump sys ~db:"fixture" with
+  | Ok text ->
+    Alcotest.(check string) "recovered store, dumped"
+      (read_file "fixtures/fixture.recovered.mlds") text
+  | Error msg -> Alcotest.fail msg);
+  Sys.remove snap;
+  Sys.remove (snap ^ ".wal")
+
+(* --- the group buffer ------------------------------------------------------ *)
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+let frame_bytes entry = Bytes.to_string (Mlds.Wal.encode_frame entry)
+
+(* A failpoint armed inside a group leaves exactly the bytes the
+   unbuffered log left: every earlier frame whole, then the torn part of
+   the failing frame; before-fsync keeps only the fsynced prefix (no
+   fsync happens inside the group). *)
+let test_group_failpoints_match_unbuffered () =
+  let pre = [ Mlds.Wal.Begin; Keyed_insert (1, item 1 10); Commit ] in
+  let group = List.init 6 (fun k -> Mlds.Wal.Keyed_insert (k + 2, item (k + 2) k)) in
+  List.iter
+    (fun (name, failure) ->
+      for crash_at = 1 to List.length group do
+        let file = temp_wal () in
+        let wal = Mlds.Wal.open_log file in
+        List.iter (Mlds.Wal.append wal) pre;
+        Mlds.Wal.sync wal;
+        Mlds.Wal.begin_group wal;
+        Mlds.Wal.arm_failpoint wal ~after_appends:crash_at failure;
+        (match
+           List.iteri
+             (fun i e ->
+               Mlds.Wal.append wal e;
+               if i mod 2 = 1 then Mlds.Wal.sync wal)
+             group
+         with
+        | () -> Alcotest.failf "%s at %d: failpoint did not fire" name crash_at
+        | exception Mlds.Wal.Crash _ -> ());
+        let whole = String.concat "" (List.map frame_bytes pre) in
+        let before = List.filteri (fun i _ -> i < crash_at - 1) group in
+        let failing = frame_bytes (List.nth group (crash_at - 1)) in
+        let want =
+          match failure with
+          | Mlds.Wal.Crash_before_fsync -> whole
+          | Mlds.Wal.Crash_mid_frame ->
+            whole ^ String.concat "" (List.map frame_bytes before)
+            ^ String.sub failing 0 (String.length failing / 2)
+          | Mlds.Wal.Short_write n ->
+            whole ^ String.concat "" (List.map frame_bytes before)
+            ^ String.sub failing 0 n
+        in
+        Alcotest.(check string) (Printf.sprintf "%s at append %d" name crash_at)
+          want (read_file file);
+        Sys.remove file
+      done)
+    [
+      "crash mid-frame", Mlds.Wal.Crash_mid_frame;
+      "short write", Mlds.Wal.Short_write 5;
+      "crash before fsync", Mlds.Wal.Crash_before_fsync;
+    ]
+
+let test_group_position_and_truncate_to () =
+  let file = temp_wal () in
+  let wal = Mlds.Wal.open_log file in
+  List.iter (Mlds.Wal.append wal) script;
+  let p0 = Mlds.Wal.position wal in
+  Alcotest.(check int) "outside a group frames are written at once" p0
+    (file_size file);
+  Mlds.Wal.begin_group wal;
+  Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (7, item 7 70));
+  let p1 = Mlds.Wal.position wal in
+  Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (8, item 8 80));
+  Mlds.Wal.append wal Mlds.Wal.Commit;
+  Mlds.Wal.sync wal;
+  Alcotest.(check int) "position counts buffered frames"
+    (p0
+    + String.length (frame_bytes (Mlds.Wal.Keyed_insert (7, item 7 70)))
+    + String.length (frame_bytes (Mlds.Wal.Keyed_insert (8, item 8 80)))
+    + String.length (frame_bytes Mlds.Wal.Commit))
+    (Mlds.Wal.position wal);
+  Alcotest.(check int) "inside the group they wait in the buffer" p0
+    (file_size file);
+  Mlds.Wal.end_group wal;
+  Alcotest.(check int) "end_group writes them" (Mlds.Wal.position wal)
+    (file_size file);
+  Alcotest.(check int) "and fsyncs them" (Mlds.Wal.position wal)
+    (Mlds.Wal.synced_position wal);
+  (* a checkpoint stamped mid-group truncates right after the group *)
+  Mlds.Wal.truncate_to wal ~keep_from:p1;
+  Mlds.Wal.close wal;
+  let r = Mlds.Wal.recover file in
+  Alcotest.(check int) "new generation" 1 r.Mlds.Wal.gen;
+  Alcotest.(check bool) "the tail past the stamp survives" true
+    (match r.Mlds.Wal.entries with
+    | [ Mlds.Wal.Keyed_insert (8, _); Mlds.Wal.Commit ] -> true
+    | _ -> false);
+  Sys.remove file
+
+let test_group_frame_larger_than_buffer () =
+  let file = temp_wal () in
+  let wal = Mlds.Wal.open_log file in
+  let big =
+    Abdm.Record.make
+      [ Abdm.Keyword.file "item";
+        Abdm.Keyword.make "blob" (Abdm.Value.Str (String.make 100_000 'x')) ]
+  in
+  let entries =
+    [ Mlds.Wal.Keyed_insert (1, item 1 10); Keyed_insert (2, big); Commit ]
+  in
+  Mlds.Wal.begin_group wal;
+  List.iter (Mlds.Wal.append wal) entries;
+  Mlds.Wal.end_group wal;
+  Alcotest.(check string) "frames in order, byte for byte"
+    (String.concat "" (List.map frame_bytes entries))
+    (read_file file);
+  Mlds.Wal.close wal;
+  Alcotest.(check int) "all recovered" 3 (Mlds.Wal.recover file).Mlds.Wal.frames;
+  Sys.remove file
+
+let test_close_failure_counted () =
+  let failed () =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "wal.close_failed")
+  in
+  let before = failed () in
+  (* every write to /dev/full fails with ENOSPC *)
+  let wal = Mlds.Wal.open_log "/dev/full" in
+  Mlds.Wal.begin_group wal;
+  Mlds.Wal.append wal Mlds.Wal.Begin;
+  Mlds.Wal.close wal;
+  Alcotest.(check int) "the lost buffered frame is counted" (before + 1)
+    (failed ());
+  let wal = Mlds.Wal.open_log "/dev/full" in
+  Alcotest.(check bool) "outside a group the failed write kills the handle"
+    true
+    (match Mlds.Wal.append wal Mlds.Wal.Begin with
+    | exception Mlds.Wal.Crash _ -> true
+    | () -> false);
+  Mlds.Wal.close wal
+
+type group_step = { grouped : bool; frames : Mlds.Wal.entry list; sync : bool }
+
+let gen_entry =
+  QCheck2.Gen.(
+    frequency
+      [
+        1, oneofl [ Mlds.Wal.Begin; Mlds.Wal.Commit; Mlds.Wal.Abort ];
+        4, map2 (fun k r -> Mlds.Wal.Keyed_insert (k, r)) nat gen_record;
+        1, map2 (fun k r -> Mlds.Wal.Replace (k, r)) nat gen_record;
+        1, map (fun id -> Mlds.Wal.Request (Abdl.Ast.Delete (q_id id))) nat;
+        (* now and then a frame bigger than the whole group buffer *)
+        1,
+        map
+          (fun n ->
+            Mlds.Wal.Keyed_insert
+              ( n,
+                Abdm.Record.make
+                  [ Abdm.Keyword.file "big";
+                    Abdm.Keyword.make "blob" (Abdm.Value.Str (String.make n 'b')) ] ))
+          (int_range 10_000 70_000);
+      ])
+
+let prop_group_bytes_unbuffered =
+  QCheck2.Test.make
+    ~name:"bytes on disk after end_group = the unbuffered appends" ~count:60
+    QCheck2.Gen.(
+      list_size (int_range 1 8)
+        (map3
+           (fun grouped frames sync -> { grouped; frames; sync })
+           bool (list_size (int_range 0 40) gen_entry) bool))
+    (fun steps ->
+      let file = temp_wal () in
+      let wal = Mlds.Wal.open_log file in
+      let want = Buffer.create 4096 in
+      let ok =
+        List.for_all
+          (fun step ->
+            if step.grouped then Mlds.Wal.begin_group wal;
+            List.iter
+              (fun e ->
+                Mlds.Wal.append wal e;
+                Buffer.add_string want (frame_bytes e))
+              step.frames;
+            if step.sync then Mlds.Wal.sync wal;
+            if step.grouped then Mlds.Wal.end_group wal;
+            read_file file = Buffer.contents want
+            && Mlds.Wal.position wal = Buffer.length want)
+          steps
+      in
+      Mlds.Wal.close wal;
+      Sys.remove file;
+      ok)
+
 (* --- the recovery trace artifact ------------------------------------------- *)
 
 (* With MLDS_RECOVERY_TRACE set (the CI fault-injection job sets it), run a
@@ -772,4 +1160,16 @@ let suite =
     QCheck_alcotest.to_alcotest prop_group_commit_crash;
     "recovery trace artifact", `Quick, test_recovery_trace_artifact;
     QCheck_alcotest.to_alcotest prop_crash_recovery;
+    QCheck_alcotest.to_alcotest prop_printer_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_snapshot_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_crc32_reference;
+    "a log written by the Printf encoder replays", `Quick, test_fixture_replays;
+    "group buffer: failpoints leave the unbuffered bytes", `Quick,
+    test_group_failpoints_match_unbuffered;
+    "group buffer: position, then truncate_to", `Quick,
+    test_group_position_and_truncate_to;
+    "group buffer: a frame larger than the buffer", `Quick,
+    test_group_frame_larger_than_buffer;
+    "close failures are counted", `Quick, test_close_failure_counted;
+    QCheck_alcotest.to_alcotest prop_group_bytes_unbuffered;
   ]
